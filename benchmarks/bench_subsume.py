@@ -13,11 +13,16 @@ Reported over ``DASHBOARDS`` panels x ``WINDOWS`` contained windows
 * effective hit rate — (result-cache hits + subsumed hits) / queries,
   for ``exact`` vs ``subsume`` reuse over the identical stream;
 * narrow-window latency — subsumed service vs full bounded
-  re-execution of the same statements.
+  re-execution of the same statements;
+* probe scaling — median narrow-window latency with 1, 8 and 32 live
+  same-shape candidates on distinct equality keys (the point-keyed
+  probe reaches one of them, however many are live).
 
 Acceptance bars asserted here: the subsume-mode effective hit rate is
 at least 3x the exact-mode rate, and subsumed service is at least 2x
-faster than re-execution (total over the narrow-window stream).
+faster than re-execution (total over the narrow-window stream). The
+full run also holds latency at 32 live candidates to at most 1.5x the
+latency at 1; ``--quick`` prints the scaling row without the bar.
 
 Runs under pytest (``PYTHONPATH=src python -m pytest
 benchmarks/bench_subsume.py``) or standalone (``PYTHONPATH=src python
@@ -27,6 +32,7 @@ benchmarks/bench_subsume.py --quick``) — the latter is the CI smoke.
 from __future__ import annotations
 
 import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -53,11 +59,20 @@ WINDOWS = 10
 ROWS_PER_DASHBOARD = 800
 HIT_RATE_TARGET = 3.0
 LATENCY_TARGET = 2.0
+#: live same-shape candidates the scaling row measures
+SCALING_CANDIDATES = (1, 8, 32)
+#: rows per key in the scaling database: few, so the probe, not the
+#: refilter over the cached rows, is what the row measures
+SCALING_ROWS = 40
+SCALING_QUERIES = 640
+SCALING_TARGET = 1.5
 
 REGIONS = ("north", "south", "east", "west", "plains")
 
 
-def build_database(dashboards: int) -> Database:
+def build_database(
+    dashboards: int, rows_per_dashboard: int = ROWS_PER_DASHBOARD
+) -> Database:
     schema = DatabaseSchema(
         [
             TableSchema(
@@ -78,7 +93,7 @@ def build_database(dashboards: int) -> Database:
     rng = random.Random(17)
     event_id = 0
     for p in range(dashboards):
-        for _ in range(ROWS_PER_DASHBOARD):
+        for _ in range(rows_per_dashboard):
             event_id += 1
             db.insert(
                 "events",
@@ -180,6 +195,52 @@ def measure(dashboards: int, windows: int) -> dict[str, float]:
     }
 
 
+def measure_scaling(
+    queries: int = SCALING_QUERIES, repeats: int = 3
+) -> dict[int, float]:
+    """Median narrow-window latency (µs) with N live same-shape
+    candidates, one per distinct ``pnum``; the narrow windows cycle over
+    all N keys so no candidate is always the most recent. Best of
+    ``repeats`` passes, to shed scheduler noise."""
+    database = build_database(max(SCALING_CANDIDATES), SCALING_ROWS)
+    contained = _windows(WINDOWS)
+    latency: dict[int, float] = {}
+    for live in SCALING_CANDIDATES:
+        narrow = [
+            _sql(number % live, *contained[number % len(contained)])
+            for number in range(queries)
+        ]
+        with _session(database) as session:
+            for dashboard in range(live):
+                session.run(_sql(dashboard, 0, 364), result_reuse="subsume")
+            best = float("inf")
+            for _ in range(repeats):
+                samples = []
+                for sql in narrow:
+                    start = time.perf_counter()
+                    session.run(sql, result_reuse="subsume")
+                    samples.append(time.perf_counter() - start)
+                best = min(best, statistics.median(samples))
+            assert session.stats().subsumed_hits == repeats * queries
+        latency[live] = best * 1e6
+    return latency
+
+
+def _scaling_report(latency: dict[int, float]) -> str:
+    base = latency[SCALING_CANDIDATES[0]]
+    table = format_table(
+        ["live candidates", "narrow window µs (median)", "vs 1"],
+        [
+            (str(live), f"{us:.1f}", f"{us / base:.2f}x")
+            for live, us in latency.items()
+        ],
+    )
+    return (
+        f"probe scaling — {SCALING_QUERIES} narrow windows cycling over N "
+        f"same-shape keys, {SCALING_ROWS} rows each\n\n" + table
+    )
+
+
 def _report(m: dict[str, float], dashboards: int, windows: int) -> str:
     rate_gain = m["subsume_rate"] / max(m["exact_rate"], 1e-9)
     latency_gain = m["reexec_seconds"] / max(m["subsumed_seconds"], 1e-9)
@@ -210,20 +271,28 @@ def _report(m: dict[str, float], dashboards: int, windows: int) -> str:
 
 def run(
     dashboards: int = DASHBOARDS, windows: int = WINDOWS
-) -> tuple[float, float]:
+) -> tuple[float, float, float]:
+    """Measure and report; returns (hit-rate gain, latency gain, latency
+    at the most live candidates over latency at one)."""
     measured = measure(dashboards, windows)
-    text = _report(measured, dashboards, windows)
+    scaling = measure_scaling()
+    text = (
+        _report(measured, dashboards, windows)
+        + "\n\n"
+        + _scaling_report(scaling)
+    )
     print(text)
     write_report("bench_subsume.txt", text)
     rate_gain = measured["subsume_rate"] / max(measured["exact_rate"], 1e-9)
     latency_gain = measured["reexec_seconds"] / max(
         measured["subsumed_seconds"], 1e-9
     )
-    return rate_gain, latency_gain
+    growth = scaling[SCALING_CANDIDATES[-1]] / scaling[SCALING_CANDIDATES[0]]
+    return rate_gain, latency_gain, growth
 
 
 def test_subsume_hit_rate_and_latency(benchmark):
-    rate_gain, latency_gain = once(benchmark, run)
+    rate_gain, latency_gain, growth = once(benchmark, run)
     assert rate_gain >= HIT_RATE_TARGET, (
         f"subsume effective hit rate only {rate_gain:.1f}x exact "
         f"(target {HIT_RATE_TARGET}x)"
@@ -231,6 +300,11 @@ def test_subsume_hit_rate_and_latency(benchmark):
     assert latency_gain >= LATENCY_TARGET, (
         f"subsumed service only {latency_gain:.1f}x vs re-execution "
         f"(target {LATENCY_TARGET}x)"
+    )
+    assert growth <= SCALING_TARGET, (
+        f"probe latency grows {growth:.2f}x from 1 to "
+        f"{SCALING_CANDIDATES[-1]} live candidates (target <= "
+        f"{SCALING_TARGET}x)"
     )
 
 
@@ -241,12 +315,15 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="fewer dashboards/windows (the CI smoke); both bars still apply",
+        help=(
+            "fewer dashboards/windows (the CI smoke); the hit-rate and "
+            "latency bars still apply, the scaling bar does not"
+        ),
     )
     args = parser.parse_args(argv)
     dashboards = 4 if args.quick else DASHBOARDS
     windows = 6 if args.quick else WINDOWS
-    rate_gain, latency_gain = run(dashboards, windows)
+    rate_gain, latency_gain, growth = run(dashboards, windows)
     failed = False
     if rate_gain < HIT_RATE_TARGET:
         print(
@@ -261,12 +338,23 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         failed = True
+    if not args.quick and growth > SCALING_TARGET:
+        print(
+            f"FAIL: probe latency grows {growth:.2f}x from 1 to "
+            f"{SCALING_CANDIDATES[-1]} live candidates > {SCALING_TARGET}x",
+            file=sys.stderr,
+        )
+        failed = True
     if failed:
         return 1
+    scaling = (
+        f"{growth:.2f}x from 1 to {SCALING_CANDIDATES[-1]} live candidates"
+    )
     print(
         f"OK: effective hit rate {rate_gain:.1f}x >= {HIT_RATE_TARGET}x, "
         f"subsumed service {latency_gain:.1f}x >= {LATENCY_TARGET}x vs "
-        "re-execution"
+        "re-execution, probe latency "
+        + (scaling if args.quick else f"{scaling} <= {SCALING_TARGET}x")
     )
     return 0
 

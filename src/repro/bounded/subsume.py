@@ -20,7 +20,10 @@ variant's answer. This module supplies the containment machinery:
   and, when it does, produces the :class:`RefilterPlan` of *delta*
   predicates distinguishing the two;
 * :func:`apply_refilter` replays the delta over the cached rows,
-  preserving their order.
+  preserving their order;
+* :class:`SubsumptionIndex` keeps recent cached answers per shape key,
+  keyed by their equality points, so a probe reaches only the
+  candidates that can contain the new query's region.
 
 Soundness rules (hard refusals, never best-effort):
 
@@ -60,7 +63,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Hashable, Iterable, Optional
 
 from repro.errors import ExecutionError
@@ -69,11 +72,13 @@ from repro.sql.fingerprint import canonical_statement
 from repro.sql.printer import expression_to_sql, to_sql
 
 #: Candidate summaries kept per shape key in :class:`SubsumptionIndex`.
-#: Candidates are references into the result cache (a few hundred bytes
-#: each) and a probe's containment check is a dict walk, so the cap
-#: bounds probe latency, not memory: it must comfortably exceed the
-#: number of concurrently-live broad templates per shape (e.g. one per
-#: dashboard panel in a sliding-window workload).
+#: A probe reaches only the candidates whose equality points can
+#: contain the new query (see :meth:`SubsumptionIndex.candidates`), so
+#: the cap no longer bounds probe latency: it bounds the memory the
+#: index pins (references into the result cache, a few hundred bytes
+#: each). It must comfortably exceed the number of concurrently-live
+#: broad templates per shape (e.g. one per dashboard panel in a
+#: sliding-window workload).
 DEFAULT_CANDIDATES_PER_SHAPE = 32
 
 
@@ -224,9 +229,36 @@ class QuerySummary:
     residuals: tuple[ResidualConjunct, ...]
     reusable: bool
     refusal: Optional[str] = None
+    # derived once here, never per candidate per probe (summaries are
+    # cached by fingerprint, so this runs once per statement)
+    _residual_texts: frozenset[str] = field(
+        init=False, repr=False, compare=False
+    )
+    #: some value set holds a NULL constant (see the module doc's rule)
+    poisoned: bool = field(init=False, repr=False, compare=False)
+    #: attribute -> value of every plain single-point constraint (a
+    #: one-value set, no interval): the candidate index's keys
+    points: dict[str, Any] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        set_field = object.__setattr__  # frozen: derived fields only
+        set_field(
+            self, "_residual_texts",
+            frozenset(r.text for r in self.residuals),
+        )
+        set_field(
+            self, "poisoned",
+            any(_constraint_poisoned(c) for c in self.constraints.values()),
+        )
+        set_field(self, "points", {
+            attr: next(iter(c.values))
+            for attr, c in self.constraints.items()
+            if c.values is not None and len(c.values) == 1
+            and c.interval is None
+        })
 
     def residual_texts(self) -> frozenset[str]:
-        return frozenset(r.text for r in self.residuals)
+        return self._residual_texts
 
 
 # typing alias kept simple: attr text -> AttrConstraint, insertion ordered
@@ -534,13 +566,14 @@ def subsumes(
         return None
     if cached.shape_key != new.shape_key:
         return None
+    if cached.poisoned or new.poisoned:
+        return None
 
     # residual conjuncts: the cached set must be a subset of the new set
     # (every predicate the cached answer already applied is also required
     # by the new query); the extras are delta filters
     cached_texts = cached.residual_texts()
-    new_texts = new.residual_texts()
-    if not cached_texts <= new_texts:
+    if not cached_texts <= new.residual_texts():
         return None
     residual_filters: list[ast.Expression] = []
     for residual in new.residuals:
@@ -552,17 +585,12 @@ def subsumes(
 
     constraint_filters: list[tuple[str, AttrConstraint]] = []
     try:
-        for attr_key, cached_constraint in cached.constraints.items():
-            if _constraint_poisoned(cached_constraint):
-                return None
-            new_constraint = new.constraints.get(attr_key)
-            if new_constraint is None:
+        for attr_key in cached.constraints:
+            if attr_key not in new.constraints:
                 # the new query is *weaker* on this attribute: its region
                 # is unbounded there, so the cached rows cannot cover it
                 return None
         for attr_key, new_constraint in new.constraints.items():
-            if _constraint_poisoned(new_constraint):
-                return None
             cached_constraint = cached.constraints.get(attr_key)
             if cached_constraint is None:
                 # unconstrained in the cached query: pure delta
@@ -587,7 +615,7 @@ def subsumes(
 
 
 def _constraint_poisoned(constraint: AttrConstraint) -> bool:
-    """Defensive satellite-2 guard at comparator level (extraction
+    """Defensive guard behind :attr:`QuerySummary.poisoned` (extraction
     already refuses NULL constants, but summaries can be constructed
     directly — e.g. by tests or future callers)."""
     # an Interval endpoint of None means "unbounded", never NULL — NULL
@@ -738,8 +766,54 @@ class Candidate:
     template_fingerprint: Optional[str] = None  # set for rebound templates
 
 
+class _Shape:
+    """One shape key's candidates, held two ways.
+
+    ``entries`` is the per-shape LRU (least recent first) with each
+    candidate's recency sequence number; ``groups`` keys the same
+    candidates by point signature — the sorted attributes on which the
+    cached summary is a plain single point — and then by those points.
+    """
+
+    __slots__ = ("entries", "groups")
+
+    def __init__(self) -> None:
+        self.entries: OrderedDict[Hashable, tuple[Candidate, int]] = (
+            OrderedDict()
+        )
+        self.groups: dict[
+            tuple[str, ...], dict[tuple, dict[Hashable, Candidate]]
+        ] = {}
+
+    def insert(self, candidate: Candidate, seq: int) -> None:
+        self.entries[candidate.result_key] = (candidate, seq)
+        signature, point = _point_key(candidate.summary)
+        buckets = self.groups.setdefault(signature, {})
+        buckets.setdefault(point, {})[candidate.result_key] = candidate
+
+    def remove(self, result_key: Hashable) -> bool:
+        slot = self.entries.pop(result_key, None)
+        if slot is None:
+            return False
+        signature, point = _point_key(slot[0].summary)
+        buckets = self.groups[signature]
+        bucket = buckets[point]
+        del bucket[result_key]
+        if not bucket:
+            del buckets[point]
+            if not buckets:
+                del self.groups[signature]
+        return True
+
+
+def _point_key(summary: QuerySummary) -> tuple[tuple[str, ...], tuple]:
+    signature = tuple(sorted(summary.points))
+    return signature, tuple(summary.points[attr] for attr in signature)
+
+
 class SubsumptionIndex:
-    """shape key -> recent :class:`Candidate` entries, MRU first.
+    """shape key -> recent :class:`Candidate` entries, keyed by their
+    equality points.
 
     A leaf-locked bookkeeping structure (its mutex is never held while
     acquiring any shard or schema lock). It holds *references* to result
@@ -753,42 +827,86 @@ class SubsumptionIndex:
             raise ValueError("max_per_shape must be >= 1")
         self._max_per_shape = max_per_shape
         self._lock = threading.Lock()
-        self._by_shape: dict[str, OrderedDict[Hashable, Candidate]] = {}
+        self._by_shape: dict[str, _Shape] = {}
+        self._seq = 0  # recency: bumped on add and touch
 
     def add(self, candidate: Candidate) -> None:
         with self._lock:
-            bucket = self._by_shape.setdefault(
-                candidate.shape_key, OrderedDict()
-            )
-            bucket.pop(candidate.result_key, None)
-            bucket[candidate.result_key] = candidate
-            while len(bucket) > self._max_per_shape:
-                bucket.popitem(last=False)
+            shape = self._by_shape.get(candidate.shape_key)
+            if shape is None:
+                shape = self._by_shape[candidate.shape_key] = _Shape()
+            shape.remove(candidate.result_key)
+            self._seq += 1
+            shape.insert(candidate, self._seq)
+            while len(shape.entries) > self._max_per_shape:
+                shape.remove(next(iter(shape.entries)))
 
-    def candidates(self, shape_key: str) -> list[Candidate]:
-        """A snapshot of the bucket, most recently added first."""
+    def candidates(
+        self, shape_key: str, summary: Optional[QuerySummary] = None
+    ) -> list[Candidate]:
+        """The shape's candidates that can contain ``summary``'s region,
+        most recently added or touched first (every candidate of the
+        shape when ``summary`` is None).
+
+        Per point signature: a query with no constraint on some
+        signature attribute is weaker there, so :func:`subsumes` refuses
+        the whole group; a query that is a plain single point on every
+        signature attribute reads the one bucket holding those points
+        (any other bucket differs in some point the query's value is not
+        a member of); anything else (IN-lists, points under an interval,
+        empty regions) scans the group. Buckets are dict-keyed, so a hit
+        follows the same ``==``/hash rule as value-set membership.
+        """
         with self._lock:
-            bucket = self._by_shape.get(shape_key)
-            if not bucket:
+            shape = self._by_shape.get(shape_key)
+            if shape is None:
                 return []
-            return list(reversed(bucket.values()))
+            if summary is None:
+                return [cand for cand, _ in reversed(shape.entries.values())]
+            points, constraints = summary.points, summary.constraints
+            found: list[Candidate] = []
+            for signature, buckets in shape.groups.items():
+                if all(attr in points for attr in signature):
+                    bucket = buckets.get(
+                        tuple(points[attr] for attr in signature)
+                    )
+                    if bucket:
+                        found.extend(bucket.values())
+                elif all(attr in constraints for attr in signature):
+                    for bucket in buckets.values():
+                        found.extend(bucket.values())
+            if len(found) > 1:
+                entries = shape.entries
+                found.sort(
+                    key=lambda cand: entries[cand.result_key][1],
+                    reverse=True,
+                )
+            return found
+
+    def has_shape(self, shape_key: str) -> bool:
+        """Whether any candidate of the shape is indexed."""
+        with self._lock:
+            return shape_key in self._by_shape
 
     def touch(self, shape_key: str, result_key: Hashable) -> None:
         """Refresh a candidate's recency (it just served a hit), so the
         per-shape LRU keeps proven-broad sources over stale ones."""
         with self._lock:
-            bucket = self._by_shape.get(shape_key)
-            if bucket is not None and result_key in bucket:
-                bucket.move_to_end(result_key)
+            shape = self._by_shape.get(shape_key)
+            slot = shape.entries.get(result_key) if shape is not None else None
+            if slot is not None:
+                self._seq += 1
+                shape.entries[result_key] = (slot[0], self._seq)
+                shape.entries.move_to_end(result_key)
 
     def discard(self, shape_key: str, result_key: Hashable) -> bool:
         with self._lock:
-            bucket = self._by_shape.get(shape_key)
-            if bucket is None:
+            shape = self._by_shape.get(shape_key)
+            if shape is None:
                 return False
-            removed = bucket.pop(result_key, None) is not None
-            if not bucket:
-                self._by_shape.pop(shape_key, None)
+            removed = shape.remove(result_key)
+            if not shape.entries:
+                del self._by_shape[shape_key]
             return removed
 
     def drop_template(self, template_fingerprint: str) -> int:
@@ -798,31 +916,31 @@ class SubsumptionIndex:
         dropped = 0
         with self._lock:
             for shape_key in list(self._by_shape):
-                bucket = self._by_shape[shape_key]
+                shape = self._by_shape[shape_key]
                 stale = [
                     key
-                    for key, cand in bucket.items()
+                    for key, (cand, _) in shape.entries.items()
                     if cand.template_fingerprint == template_fingerprint
                 ]
                 for key in stale:
-                    del bucket[key]
+                    shape.remove(key)
                 dropped += len(stale)
-                if not bucket:
+                if not shape.entries:
                     del self._by_shape[shape_key]
         return dropped
 
     def clear(self) -> int:
         with self._lock:
-            count = sum(len(b) for b in self._by_shape.values())
+            count = sum(len(s.entries) for s in self._by_shape.values())
             self._by_shape.clear()
         return count
 
     def __len__(self) -> int:
         with self._lock:
-            return sum(len(b) for b in self._by_shape.values())
+            return sum(len(s.entries) for s in self._by_shape.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         with self._lock:
             shapes = len(self._by_shape)
-            count = sum(len(b) for b in self._by_shape.values())
+            count = sum(len(s.entries) for s in self._by_shape.values())
         return f"SubsumptionIndex({count} candidates across {shapes} shapes)"

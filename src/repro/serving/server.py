@@ -170,9 +170,11 @@ class ServingStats:
     rebind_fallbacks: int = 0
     checker_runs: int = 0
     # subsumption counters (result_reuse="subsume"): queries answered by
-    # re-filtering a cached bounded superset, probes that found no sound
-    # source, and candidates dropped for stale plan provenance (rebind
-    # fallbacks abandoning the pinned plan they derived from)
+    # re-filtering a cached bounded superset, probes that served no
+    # subsumed answer although the statement's shape is refused or has
+    # indexed candidates, and candidates dropped for stale plan
+    # provenance (rebind fallbacks abandoning the pinned plan they
+    # derived from)
     subsumed_hits: int = 0
     subsumption_rejects: int = 0
     subsumption_invalidations: int = 0
@@ -1226,8 +1228,12 @@ class BEASServer:
             with self._admin_lock:
                 self._subsumption_rejects += 1
             return None
-        candidates = self._subsume_index.candidates(summary.shape_key)
-        examined = 0
+        candidates = self._subsume_index.candidates(summary.shape_key, summary)
+        # a reject means the shape had indexed candidates (whether or
+        # not the point-keyed lookup reached any) and none served
+        indexed = bool(candidates) or self._subsume_index.has_shape(
+            summary.shape_key
+        )
         for candidate in candidates:
             if candidate.result_key == result_key:
                 continue  # the exact lookup already missed on this key
@@ -1253,7 +1259,6 @@ class BEASServer:
                 or not self._entry_fresh(entry, versions, generation)
             ):
                 continue
-            examined += 1
             plan = subsumes(entry.summary, summary)
             if plan is None:
                 continue
@@ -1297,9 +1302,7 @@ class BEASServer:
                 decision=entry.decision,
                 metrics=metrics,
             )
-        if examined:
-            # live same-shape candidates existed but none subsumed this
-            # binding's region (or post-filtering was refused)
+        if indexed:
             with self._admin_lock:
                 self._subsumption_rejects += 1
         return None

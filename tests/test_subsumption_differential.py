@@ -17,15 +17,22 @@ binding) scenario pairs across the lattice's vocabulary:
 * **hard refusals** — aggregate / DISTINCT / LIMIT shapes and NULL
   constants must never be answered by post-filtering;
 * **freshness** — maintenance and schema-generation bumps must never let
-  a stale subsumed answer out, including under concurrent writes.
+  a stale subsumed answer out, including under concurrent writes;
+* **candidate pruning** — the point-keyed candidate lookup skips only
+  candidates :func:`subsumes` would refuse, in the full scan's order, so
+  the first subsuming source never changes.
 """
 
 from __future__ import annotations
 
 import random
 import threading
+from collections import OrderedDict
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     AccessConstraint,
@@ -36,6 +43,18 @@ from repro import (
     Session,
     TableSchema,
 )
+from repro.bounded.subsume import (
+    DEFAULT_CANDIDATES_PER_SHAPE,
+    AttrConstraint,
+    Candidate,
+    Interval,
+    QuerySummary,
+    ResidualConjunct,
+    SubsumptionIndex,
+    subsumes,
+    summarize_statement,
+)
+from repro.sql.parser import parse
 
 from tests.conftest import example1_access_schema, example1_database
 
@@ -524,3 +543,305 @@ class TestFreshness:
             assert not errors, errors[0]
             stats = session.stats()
             assert stats.subsumed_hits >= 1  # the warm-up, at minimum
+
+
+# --------------------------------------------------------------------------- #
+# the point-keyed candidate lookup: pruning never changes the chosen source
+# --------------------------------------------------------------------------- #
+# 1 / 1.0 / True are == with equal hashes; 1 / '1' are different types
+_SCALARS = st.sampled_from([0, 1, 1.0, True, 2, 3, "1", "x"])
+_NUMBERS = st.sampled_from([0, 1, 2, 3])
+_BOUNDS = st.one_of(st.none(), _NUMBERS)
+_INTERVALS = st.builds(Interval, _BOUNDS, st.booleans(), _BOUNDS, st.booleans())
+_CONSTRAINTS = st.one_of(
+    # a single point (twice: the common drill-down constraint)
+    st.builds(lambda v: AttrConstraint(values=frozenset([v])), _SCALARS),
+    st.builds(lambda v: AttrConstraint(values=frozenset([v])), _SCALARS),
+    # an IN-list
+    st.builds(
+        lambda vs: AttrConstraint(values=frozenset(vs)),
+        st.lists(_SCALARS, min_size=2, max_size=3),
+    ),
+    # an interval
+    st.builds(lambda i: AttrConstraint(interval=i), _INTERVALS),
+    # a point combined with an interval on one attribute
+    st.builds(
+        lambda v, i: AttrConstraint(values=frozenset([v]), interval=i),
+        _NUMBERS,
+        _INTERVALS,
+    ),
+    # a NULL-poisoned value set
+    st.builds(
+        lambda vs: AttrConstraint(values=frozenset(vs) | {None}),
+        st.lists(_SCALARS, max_size=2),
+    ),
+)
+_ATTRS = st.lists(st.sampled_from("abc"), unique=True)
+_RESIDUALS = st.lists(st.sampled_from(["r1", "r2"]), unique=True)
+
+
+def _summary_of(constraints: dict, residuals) -> QuerySummary:
+    return QuerySummary(
+        shape_key="shape:prop",
+        constraints=OrderedDict(
+            (attr, replace(c, label=attr)) for attr, c in constraints.items()
+        ),
+        residuals=tuple(
+            ResidualConjunct(text=text, labeled=None) for text in residuals
+        ),
+        reusable=True,
+    )
+
+
+@st.composite
+def _summaries(draw) -> QuerySummary:
+    # attributes missing on either side, and the empty signature
+    return _summary_of(
+        {attr: draw(_CONSTRAINTS) for attr in draw(_ATTRS)}, draw(_RESIDUALS)
+    )
+
+
+@st.composite
+def _derived(draw, base: QuerySummary) -> QuerySummary:
+    """A probe built from a cached summary, so that containment, point
+    matches and near misses are frequent rather than rare."""
+    constraints = {}
+    for attr, cached in base.constraints.items():
+        members = st.sampled_from(sorted(cached.values or (0,), key=repr))
+        action = draw(
+            st.sampled_from(
+                ["keep", "keep", "point", "point", "point-in-range",
+                 "in-list", "drop", "any"]
+            )
+        )
+        if action == "keep":
+            constraints[attr] = cached
+        elif action == "point":
+            constraints[attr] = AttrConstraint(values=frozenset([draw(members)]))
+        elif action == "point-in-range":
+            constraints[attr] = AttrConstraint(
+                values=frozenset([draw(members)]), interval=draw(_INTERVALS)
+            )
+        elif action == "in-list":
+            constraints[attr] = AttrConstraint(
+                values=frozenset(draw(st.lists(members, min_size=1)))
+            )
+        elif action == "any":
+            constraints[attr] = draw(_CONSTRAINTS)
+    for attr in draw(_ATTRS):
+        if attr not in base.constraints:
+            constraints[attr] = draw(_CONSTRAINTS)
+    residuals = {r.text for r in base.residuals}
+    if draw(st.booleans()):
+        residuals |= set(draw(_RESIDUALS))
+    return _summary_of(constraints, sorted(residuals))
+
+
+class TestPointKeyedCandidates:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        data=st.data(),
+        # result keys repeat: re-adding a key replaces its candidate
+        cached=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=7), _summaries()),
+            min_size=1,
+            max_size=10,
+        ),
+        touches=st.lists(st.integers(min_value=0, max_value=7), max_size=4),
+    )
+    def test_keyed_lookup_is_a_pruned_mru_scan(self, data, cached, touches):
+        probe = data.draw(
+            st.one_of(
+                _summaries(),
+                st.sampled_from([summary for _, summary in cached]).flatmap(
+                    _derived
+                ),
+            )
+        )
+        index = SubsumptionIndex()
+        for number, summary in cached:
+            index.add(
+                Candidate(
+                    shape_key="shape:prop",
+                    result_key=("key", number),
+                    home="t",
+                    generation=0,
+                    summary=summary,
+                )
+            )
+        for number in touches:
+            index.touch("shape:prop", ("key", number))
+
+        full = index.candidates("shape:prop")
+        keyed = index.candidates("shape:prop", probe)
+        assert len(full) == len({number for number, _ in cached}) == len(index)
+        # an order-preserving subsequence of the full MRU bucket
+        position = iter(full)
+        assert all(
+            any(cand is other for other in position) for cand in keyed
+        )
+        # every candidate it drops is one subsumes() refuses
+        kept = {cand.result_key for cand in keyed}
+        for cand in full:
+            if cand.result_key not in kept:
+                assert subsumes(cand.summary, probe) is None, (
+                    cand.summary.constraints,
+                    probe.constraints,
+                )
+
+        def first_source(candidates):
+            return next(
+                (
+                    cand.result_key
+                    for cand in candidates
+                    if subsumes(cand.summary, probe) is not None
+                ),
+                None,
+            )
+
+        assert first_source(keyed) == first_source(full)
+
+    def test_equal_hash_points_share_a_bucket(self):
+        def summary(value):
+            return QuerySummary(
+                shape_key="shape:eq",
+                constraints=OrderedDict(
+                    {"a": AttrConstraint(values=frozenset([value]), label="a")}
+                ),
+                residuals=(),
+                reusable=True,
+            )
+
+        index = SubsumptionIndex()
+        index.add(Candidate("shape:eq", ("k", 1), "t", 0, summary(1)))
+        index.add(Candidate("shape:eq", ("k", "1"), "t", 0, summary("1")))
+        for value in (1, 1.0, True):
+            assert [
+                c.result_key for c in index.candidates("shape:eq", summary(value))
+            ] == [("k", 1)]
+        assert [
+            c.result_key for c in index.candidates("shape:eq", summary("1"))
+        ] == [("k", "1")]
+        assert index.candidates("shape:eq", summary(2)) == []
+
+
+class TestDeadCandidates:
+    def test_pruned_shape_serves_a_new_source(self):
+        """Invalidate every entry of a shape, then admit a new answer:
+        the dead candidates are pruned lazily by the prober, the new
+        answer serves subsumed hits, and the index stays within the
+        per-shape cap."""
+
+        wide = [
+            SELECT + f"pnum = 'p{p}' AND day >= {lo} AND day <= {lo + 60}"
+            for p in range(6)
+            for lo in range(0, 40, 5)
+        ]
+        shape = summarize_statement(parse(wide[0])).shape_key
+        db = build_events_database()  # private copy: this test mutates
+        with subsume_session(db) as session:
+            index = session.server._subsume_index
+
+            def within_cap() -> bool:
+                # every statement here has one shape
+                return (
+                    len(index) == len(index.candidates(shape))
+                    <= DEFAULT_CANDIDATES_PER_SHAPE
+                )
+
+            for sql in wide:
+                session.run(sql, result_reuse="subsume")
+                assert within_cap()
+            assert len(index) == DEFAULT_CANDIDATES_PER_SHAPE
+            # the newest 32 (p2..p5) are indexed; the insert makes every
+            # entry stale, and the candidates stay until a probe meets them
+            session.insert("events", [(9001, "p5", 25, "east", 50)])
+            assert len(index) == DEFAULT_CANDIDATES_PER_SHAPE
+            before = session.stats()
+            session.run(
+                SELECT + "pnum = 'p5' AND day >= 1 AND day <= 2",
+                result_reuse="subsume",
+            )
+            after = session.stats()
+            assert after.subsumed_hits == before.subsumed_hits
+            # a probe of a shape with indexed candidates that served
+            # nothing is a reject
+            assert after.subsumption_rejects == before.subsumption_rejects + 1
+            # the probe met (and pruned) exactly p5's eight candidates;
+            # the fresh execution it fell through to admitted one
+            assert len(index) == DEFAULT_CANDIDATES_PER_SHAPE - 8 + 1
+
+            session.run(
+                SELECT + "pnum = 'p5' AND day >= 0 AND day <= 90",
+                result_reuse="subsume",
+            )
+            assert within_cap()
+            for lo in (10, 20, 30):
+                narrow = session.run(
+                    SELECT + f"pnum = 'p5' AND day >= {lo} AND day <= {lo + 9}",
+                    result_reuse="subsume",
+                )
+                assert narrow.decision.provenance == "subsumed"
+                assert any(row[0] == 9001 for row in narrow.rows) == (
+                    lo <= 25 <= lo + 9
+                )
+                assert within_cap()
+            assert session.stats().subsumed_hits == after.subsumed_hits + 3
+
+    def test_index_mutations_keep_keyed_buckets_consistent(self):
+        """add / touch / discard / drop_template / clear keep the keyed
+        buckets and the per-shape LRU in step: every indexed candidate
+        is reachable by a probe with its own summary, and nothing
+        removed ever comes back."""
+        def summary(shape, pnum, lo):
+            constraints = OrderedDict()
+            if pnum is not None:
+                constraints["pnum"] = AttrConstraint(
+                    values=frozenset([pnum]), label="pnum"
+                )
+            constraints["day"] = AttrConstraint(
+                interval=Interval(low=lo, high=lo + 10), label="day"
+            )
+            return QuerySummary(shape, constraints, (), True)
+
+        shapes = ("shape:0", "shape:1")
+        index = SubsumptionIndex(max_per_shape=4)
+        removed: set = set()
+
+        def check() -> None:
+            live = [c for shape in shapes for c in index.candidates(shape)]
+            assert len(live) == len(index)
+            for shape in shapes:
+                assert len(index.candidates(shape)) <= 4
+            for cand in live:
+                assert cand.result_key not in removed
+                assert cand in index.candidates(cand.shape_key, cand.summary)
+
+        for number in range(12):
+            pnum = None if number % 3 == 0 else f"p{number % 4}"
+            index.add(
+                Candidate(
+                    shapes[number % 2], ("k", number), "t", 0,
+                    summary(shapes[number % 2], pnum, number),
+                    template_fingerprint=f"tpl{number % 3}",
+                )
+            )
+            check()
+        # the oldest two of each shape were evicted
+        removed |= {("k", number) for number in range(4)}
+        check()
+        index.touch("shape:0", ("k", 4))
+        assert index.candidates("shape:0")[0].result_key == ("k", 4)
+        assert index.discard("shape:1", ("k", 5))
+        assert not index.discard("shape:1", ("k", 5))
+        removed.add(("k", 5))
+        check()
+        # tpl1 is numbers 1, 4, 7, 10: 1 evicted, 4/7/10 still live
+        assert index.drop_template("tpl1") == 3
+        removed |= {("k", 4), ("k", 7), ("k", 10)}
+        check()
+        live = len(index)
+        assert index.clear() == live > 0
+        assert len(index) == 0
+        assert not index.has_shape("shape:0")
+        assert index.candidates("shape:0") == []
